@@ -106,6 +106,21 @@ struct Scenario {
     weights: Arc<NodeWeights>,
     reach: ReachChoice,
     kind: PolicyKind,
+    /// The harness's truthful oracle: an O(1) closure bit lookup, owned by
+    /// the bench and independent of the plan's `reach` backend, so rows
+    /// charge no per-answer `Dag::reaches` DFS (~500 ns with its
+    /// allocation) to the engine.
+    oracle: Arc<ReachIndex>,
+}
+
+impl Scenario {
+    /// Whether `q` reaches `z` — the truthful answer to question `q`.
+    fn answer(&self, q: NodeId, z: NodeId) -> bool {
+        self.oracle
+            .as_closure()
+            .expect("closure backend")
+            .reaches(q, z)
+    }
 }
 
 /// Policies × backends over a 1024-node bushy DAG, plus the tree-only
@@ -123,6 +138,8 @@ fn scenarios() -> Vec<Scenario> {
         &mut ChaCha8Rng::seed_from_u64(7),
     ));
     let tree_w = Arc::new(weights_for(n, 11));
+    let dag_oracle = Arc::new(ReachIndex::closure_for(&dag));
+    let tree_oracle = Arc::new(ReachIndex::closure_for(&tree));
 
     let mut v = Vec::new();
     for kind in [PolicyKind::TopDown, PolicyKind::Wigs, PolicyKind::GreedyDag] {
@@ -143,6 +160,7 @@ fn scenarios() -> Vec<Scenario> {
                 weights: dag_w.clone(),
                 reach,
                 kind,
+                oracle: dag_oracle.clone(),
             });
         }
     }
@@ -153,6 +171,7 @@ fn scenarios() -> Vec<Scenario> {
             weights: tree_w.clone(),
             reach: ReachChoice::Auto,
             kind,
+            oracle: tree_oracle.clone(),
         });
     }
     v
@@ -202,21 +221,20 @@ fn target(dag: &Dag, i: usize) -> NodeId {
 fn step_one(
     engine: &SearchEngine,
     plan: PlanId,
-    kind: PolicyKind,
-    dag: &Dag,
+    s: &Scenario,
     sessions: &mut [(SessionId, NodeId)],
     cursor: usize,
     fresh: &mut usize,
 ) {
     let (id, z) = sessions[cursor];
     match engine.next_question(id).unwrap() {
-        SessionStep::Ask(q) => engine.answer(id, dag.reaches(q, z)).unwrap(),
+        SessionStep::Ask(q) => engine.answer(id, s.answer(q, z)).unwrap(),
         SessionStep::Resolved(got) => {
             assert_eq!(got, z, "session resolved to a foreign target");
             engine.finish(id).unwrap();
-            let nz = target(dag, *fresh);
+            let nz = target(&s.dag, *fresh);
             *fresh += 1;
-            sessions[cursor] = (engine.open_session(plan, kind).unwrap().id(), nz);
+            sessions[cursor] = (engine.open_session(plan, s.kind).unwrap().id(), nz);
         }
     }
 }
@@ -230,14 +248,13 @@ fn step_one(
 fn warm_population(
     engine: &SearchEngine,
     plan: PlanId,
-    kind: PolicyKind,
-    dag: &Dag,
+    s: &Scenario,
     sessions: &mut [(SessionId, NodeId)],
     fresh: &mut usize,
 ) {
     for _ in 0..8 {
         for cursor in 0..sessions.len() {
-            step_one(engine, plan, kind, dag, sessions, cursor, fresh);
+            step_one(engine, plan, s, sessions, cursor, fresh);
         }
     }
 }
@@ -259,18 +276,10 @@ fn bench_step(c: &mut Criterion) {
         assert_eq!(engine.live_sessions(), live);
         let mut cursor = 0;
         let mut fresh = live;
-        warm_population(&engine, plan, s.kind, &s.dag, &mut sessions, &mut fresh);
+        warm_population(&engine, plan, &s, &mut sessions, &mut fresh);
         group.bench_function(BenchmarkId::new(&s.label, live), |b| {
             b.iter(|| {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, plan, &s, &mut sessions, cursor, &mut fresh);
                 cursor = (cursor + 1) % live;
             })
         });
@@ -296,7 +305,7 @@ fn bench_churn(c: &mut Criterion) {
                 loop {
                     match session.next_question().unwrap() {
                         SessionStep::Resolved(_) => break session.finish().unwrap(),
-                        SessionStep::Ask(q) => session.answer(s.dag.reaches(q, z)).unwrap(),
+                        SessionStep::Ask(q) => session.answer(s.answer(q, z)).unwrap(),
                     }
                 }
             })
@@ -346,18 +355,10 @@ fn bench_step_wal(c: &mut Criterion) {
             .collect();
         let mut cursor = 0;
         let mut fresh = live;
-        warm_population(&engine, plan, s.kind, &s.dag, &mut sessions, &mut fresh);
+        warm_population(&engine, plan, &s, &mut sessions, &mut fresh);
         group.bench_function(BenchmarkId::new(&s.label, live), |b| {
             b.iter(|| {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, plan, &s, &mut sessions, cursor, &mut fresh);
                 cursor = (cursor + 1) % live;
             })
         });
@@ -390,15 +391,7 @@ fn bench_recovery(c: &mut Criterion) {
         let mut fresh = live;
         for _ in 0..3 {
             for cursor in 0..live {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, plan, &s, &mut sessions, cursor, &mut fresh);
             }
         }
         assert!(!engine.stats().degraded, "WAL failed during setup");
@@ -441,15 +434,7 @@ fn report_tail_and_parallel(c: &mut Criterion) {
     for k in 0..steps {
         let cursor = k % live;
         let t0 = Instant::now();
-        step_one(
-            &engine,
-            plan,
-            s.kind,
-            &s.dag,
-            &mut sessions,
-            cursor,
-            &mut fresh,
-        );
+        step_one(&engine, plan, &s, &mut sessions, cursor, &mut fresh);
         lat.push(t0.elapsed().as_nanos() as u64);
     }
     lat.sort_unstable();
@@ -491,15 +476,7 @@ fn report_tail_and_parallel(c: &mut Criterion) {
                     .collect();
                 let mut fresh = (t + 1) * 1_000_000;
                 for k in 0..per_thread_steps {
-                    step_one(
-                        engine,
-                        plan,
-                        s.kind,
-                        &s.dag,
-                        &mut sessions,
-                        k % shard,
-                        &mut fresh,
-                    );
+                    step_one(engine, plan, s, &mut sessions, k % shard, &mut fresh);
                 }
                 for (id, _) in sessions {
                     let _ = engine.cancel(id);
@@ -557,7 +534,7 @@ fn bench_shard_sweep(c: &mut Criterion) {
             .collect();
         for (t, sessions) in populations.iter_mut().enumerate() {
             let mut fresh = (t + 1) * 1_000_000;
-            warm_population(&engine, plan, s.kind, &s.dag, sessions, &mut fresh);
+            warm_population(&engine, plan, &s, sessions, &mut fresh);
         }
         let steps_per_thread = BATCH / shards;
         let mut round = 0usize;
@@ -575,8 +552,7 @@ fn bench_shard_sweep(c: &mut Criterion) {
                                 step_one(
                                     engine,
                                     plan,
-                                    s.kind,
-                                    &s.dag,
+                                    s,
                                     sessions,
                                     (round * steps_per_thread + k) % len,
                                     &mut fresh,
@@ -674,18 +650,10 @@ fn bench_compiled(c: &mut Criterion) {
             .collect();
         let mut cursor = 0;
         let mut fresh = live;
-        warm_population(&engine, plan, s.kind, &s.dag, &mut sessions, &mut fresh);
+        warm_population(&engine, plan, s, &mut sessions, &mut fresh);
         group.bench_function(BenchmarkId::new(&s.label, live), |b| {
             b.iter(|| {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, plan, s, &mut sessions, cursor, &mut fresh);
                 cursor = (cursor + 1) % live;
             })
         });
@@ -704,16 +672,13 @@ fn bench_compiled(c: &mut Criterion) {
     }
     group.finish();
 
-    // The tier's intrinsic step latency: bare cursors, no engine. The
-    // truthful oracle answers from the O(1) closure bitset — `step_one`'s
-    // `dag.reaches` DFS (~500 ns with its allocation) would otherwise be
-    // the whole measurement at this scale.
+    // The tier's intrinsic step latency: bare cursors, no engine, answered
+    // by the same O(1) closure oracle as `step_one`.
     let mut group = c.benchmark_group("service_compiled_cursor");
     group.sample_size(20);
     for s in &roster {
-        let reach = ReachIndex::closure_for(&s.dag);
-        let oracle = reach.as_closure().expect("closure backend");
-        let ctx = SearchContext::new(&s.dag, &s.weights).with_reach(&reach);
+        let oracle = s.oracle.as_closure().expect("closure backend");
+        let ctx = SearchContext::new(&s.dag, &s.weights).with_reach(&s.oracle);
         let mut policy = s.kind.build();
         let tree = CompiledPlan::compile(policy.as_mut(), &ctx, &CompiledConfig::new()).unwrap();
         let mut cursors: Vec<(CompiledCursor, NodeId)> = (0..live)
@@ -808,15 +773,7 @@ fn bench_million_live(c: &mut Criterion) {
     let mut fresh = live;
     group.bench_function(BenchmarkId::new(&s.label, live), |b| {
         b.iter(|| {
-            step_one(
-                &engine,
-                plan,
-                s.kind,
-                &s.dag,
-                &mut sessions,
-                cursor,
-                &mut fresh,
-            );
+            step_one(&engine, plan, &s, &mut sessions, cursor, &mut fresh);
             cursor = (cursor + 1) % live;
         })
     });
@@ -855,18 +812,10 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
             .collect();
         let mut cursor = 0;
         let mut fresh = live;
-        warm_population(&engine, plan, s.kind, &s.dag, &mut sessions, &mut fresh);
+        warm_population(&engine, plan, &s, &mut sessions, &mut fresh);
         group.bench_function(BenchmarkId::new(label, live), |b| {
             b.iter(|| {
-                step_one(
-                    &engine,
-                    plan,
-                    s.kind,
-                    &s.dag,
-                    &mut sessions,
-                    cursor,
-                    &mut fresh,
-                );
+                step_one(&engine, plan, &s, &mut sessions, cursor, &mut fresh);
                 cursor = (cursor + 1) % live;
             })
         });

@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use aigs_core::{
     CompiledConfig, CompiledCursor, CompiledPlan, CoreError, SearchOutcome, SessionStep,
@@ -357,10 +357,97 @@ struct Slot {
     session: Option<LiveSession>,
 }
 
-/// One lazily-deduplicated idle-heap entry: `(last_touch, local slot,
-/// generation)` under `Reverse`, so the root is the least-recently-touched
-/// candidate. Entries are never removed on touch — the slot's current
-/// `last_touch` arbitrates staleness when an entry surfaces at the root.
+impl Slot {
+    fn empty(generation: u32) -> Slot {
+        Slot {
+            generation,
+            session: None,
+        }
+    }
+}
+
+/// Chunks in a [`SlotTable`]: chunk `c` holds `64·2^c` slots, so 27 chunks
+/// (`64·(2^27 − 1)` slots) cover the whole `u32` local-index space.
+const SLOT_CHUNKS: usize = 27;
+/// Slots in a [`SlotTable`]'s first chunk.
+const FIRST_CHUNK: u64 = 64;
+
+/// Maps a local slot index to its `(chunk, offset)` in a [`SlotTable`]:
+/// chunk `c` starts at index `64·(2^c − 1)`, so `index + 64` has its top
+/// bit at position `c + 6`.
+fn chunk_of(index: u32) -> (usize, usize) {
+    let shifted = u64::from(index) + FIRST_CHUNK;
+    let chunk = (shifted.ilog2() - FIRST_CHUNK.ilog2()) as usize;
+    (chunk, (shifted - (FIRST_CHUNK << chunk)) as usize)
+}
+
+/// One shard's grow-only slot storage: doubling chunks allocated lazily
+/// (capacity stays at most twice the slots in use plus 64), so a slot
+/// never moves once created and its address can be handed out without a
+/// refcount. Lookups are two indexed loads — the published length, then
+/// the chunk pointer — and never write a shared cache line; only growth
+/// (when the free list is empty) takes the grow lock.
+struct SlotTable {
+    chunks: [OnceLock<Box<[Mutex<Slot>]>>; SLOT_CHUNKS],
+    /// Slots published so far: every index below it is initialised. The
+    /// `Release` store in [`push`](Self::push) pairs with the `Acquire`
+    /// load in [`len`](Self::len), so a reader that sees an index below
+    /// the length also sees its chunk and slot contents.
+    len: AtomicU32,
+    grow: Mutex<()>,
+}
+
+impl SlotTable {
+    fn new() -> SlotTable {
+        SlotTable {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicU32::new(0),
+            grow: Mutex::new(()),
+        }
+    }
+
+    fn len(&self) -> u32 {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// The slot at `local`, or `None` past the published length.
+    fn get(&self, local: u32) -> Option<&Mutex<Slot>> {
+        if local >= self.len() {
+            return None;
+        }
+        let (chunk, offset) = chunk_of(local);
+        self.chunks[chunk].get().map(|c| &c[offset])
+    }
+
+    /// Appends `slot`, publishing it at the returned index. The grow lock
+    /// guards one length bump (plus, at a chunk boundary, one chunk
+    /// allocation), so a guard poisoned by a panic in between is reused
+    /// as is: the unpublished index is simply handed out again.
+    fn push(&self, slot: Slot) -> u32 {
+        let _grow = self.grow.lock().unwrap_or_else(PoisonError::into_inner);
+        // Only grow-lock holders store the length, so this read is current.
+        let local = self.len.load(Ordering::Relaxed);
+        let next = local.checked_add(1).expect("slot count fits u32");
+        let (chunk, offset) = chunk_of(local);
+        let chunk = self.chunks[chunk].get_or_init(|| {
+            (0..FIRST_CHUNK << chunk)
+                .map(|_| Mutex::new(Slot::empty(0)))
+                .collect()
+        });
+        // Unpublished, so no other thread can hold this lock.
+        *chunk[offset].lock().unwrap_or_else(PoisonError::into_inner) = slot;
+        self.len.store(next, Ordering::Release);
+        local
+    }
+}
+
+/// One idle-heap entry: `(key, local slot, generation)` under `Reverse`,
+/// so the root carries the smallest key. Every live session owns exactly
+/// one entry, pushed at open (or recovery) and keyed at a touch no later
+/// than the session's current `last_touch`; steps never push. A sweep
+/// that pops an entry whose session was touched since re-keys it to
+/// `last_touch` and pushes it back, and entries whose slot moved on to a
+/// newer generation are residue, discarded when popped.
 type IdleEntry = Reverse<(u64, u32, u32)>;
 
 #[derive(Default)]
@@ -383,14 +470,23 @@ struct Counters {
 /// clock so idle ages are comparable across shards (a per-shard clock
 /// would let sessions on a quiet shard never age), the live count so
 /// `max_sessions` keeps its exact engine-wide meaning.
+///
+/// A step (`next_question`, `answer`) or `finish` takes exactly one lock,
+/// its session's slot mutex: slot lookup is lock-free ([`SlotTable`]) and
+/// the idle heap is only touched by opens and sweeps. The three
+/// shard-wide locks — idle heap, free list, slot-table growth — each
+/// guard a single push, pop, re-key or compaction that leaves its
+/// structure consistent, so a guard poisoned by a panic is recovered,
+/// never propagated.
 struct Shard {
-    slots: RwLock<Vec<Arc<Mutex<Slot>>>>,
+    slots: SlotTable,
     free: Mutex<Vec<u32>>,
-    /// Last-touch min-heap over this shard's live sessions (maintained
-    /// only when idle eviction is configured). Lazy: every touch pushes,
-    /// stale entries are discarded when popped, and the heap is compacted
-    /// in place when it outgrows `2·slots + slack`. Lock order: a slot
-    /// mutex may be held while taking the heap lock, never the reverse.
+    /// Idle-ordered min-heap over this shard's live sessions (maintained
+    /// only when idle eviction is configured), holding one entry per live
+    /// session (see [`IdleEntry`]) plus residue of retired ones. Opens
+    /// push and, when the heap outgrows `2·slots + slack`, compact it;
+    /// sweeps pop, re-key and evict. Lock order: a slot mutex may be held
+    /// while taking the heap lock, never the reverse.
     idle: Mutex<BinaryHeap<IdleEntry>>,
     counters: Counters,
     /// Sessions currently live on this shard (the engine-global `live`
@@ -407,7 +503,7 @@ struct Shard {
 impl Shard {
     fn empty(telemetry_enabled: bool) -> Shard {
         Shard {
-            slots: RwLock::new(Vec::new()),
+            slots: SlotTable::new(),
             free: Mutex::new(Vec::new()),
             idle: Mutex::new(BinaryHeap::new()),
             counters: Counters::default(),
@@ -415,6 +511,22 @@ impl Shard {
             telemetry: Arc::new(ShardTelemetry::new(telemetry_enabled)),
             wal: None,
         }
+    }
+
+    fn idle_heap(&self) -> MutexGuard<'_, BinaryHeap<IdleEntry>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn free_list(&self) -> MutexGuard<'_, Vec<u32>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Resolves a local index this shard issued (heap entries, snapshot
+    /// walks) to its slot.
+    fn slot(&self, local: u32) -> &Mutex<Slot> {
+        self.slots
+            .get(local)
+            .expect("local index was issued by this shard")
     }
 }
 
@@ -720,7 +832,7 @@ impl SearchEngine {
             counters.cancelled.store(part.cancelled, Ordering::Relaxed);
             counters.evicted.store(part.evicted, Ordering::Relaxed);
             shards.push(Shard {
-                slots: RwLock::new(part.slots),
+                slots: part.slots,
                 free: Mutex::new(part.free),
                 idle: Mutex::new(part.idle),
                 counters,
@@ -936,9 +1048,8 @@ impl SearchEngine {
             telemetry::Tier::Live
         };
         let local = allocate_slot(shard);
-        let slot_arc = slot_arc(shard, local);
         let generation = {
-            let mut slot = slot_arc.lock().expect("slot lock poisoned");
+            let mut slot = shard.slot(local).lock().expect("slot lock poisoned");
             debug_assert!(slot.session.is_none(), "free list handed out a live slot");
             // Log before publishing: on failure the caller never saw an id,
             // so nothing durable or visible changed.
@@ -1130,10 +1241,10 @@ impl SearchEngine {
         // Probe resolution and take the session under ONE slot-lock
         // acquisition: a probe-then-remove pair would let a concurrent
         // cancel/evict slip between the two and discard the outcome.
-        let (shard_k, local, slot_arc) = self.locate(id)?;
+        let (shard_k, local, slot) = self.locate(id)?;
         let shard = &self.shards[shard_k];
         let (outcome, session) = {
-            let mut slot = slot_arc.lock().expect("slot lock poisoned");
+            let mut slot = slot.lock().expect("slot lock poisoned");
             if slot.generation != id.generation {
                 return Err(ServiceError::UnknownSession(id));
             }
@@ -1141,15 +1252,9 @@ impl SearchEngine {
                 .session
                 .as_mut()
                 .ok_or(ServiceError::UnknownSession(id))?;
-            let now = self.tick();
-            session.last_touch = now;
-            // Keep the idle heap current even though the slot is usually
-            // about to be freed: if this finish fails and the session stays
-            // live (unresolved → SessionMisuse, or the Finished record
-            // cannot be durably logged), its previous heap entry no longer
-            // matches last_touch and would be discarded as stale residue,
-            // leaving the session idle-eviction-proof forever.
-            self.touch_idle(shard, local, id.generation, now);
+            // A failed finish leaves the session live with this touch; its
+            // heap entry is re-keyed to it by the next sweep.
+            session.last_touch = self.tick();
             let finished = catch_unwind(AssertUnwindSafe(|| {
                 if matches!(failpoints::hit("engine.policy"), Some(FaultAction::Panic)) {
                     panic!("injected policy panic");
@@ -1643,19 +1748,11 @@ impl SearchEngine {
                 .map_err(durability_err)?;
             }
         }
-        let slots: Vec<(u32, Arc<Mutex<Slot>>)> = {
-            let slots = shard.slots.read().expect("slots lock poisoned");
-            slots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i as u32, Arc::clone(s)))
-                .collect()
-        };
-        for (local, slot_arc) in slots {
+        for local in 0..shard.slots.len() {
             // Capture each session atomically under its lock; concurrent
             // later events land in the rotated tail and replay idempotently
             // on top (duplicates skip by sequence number).
-            let slot = slot_arc.lock().expect("slot lock poisoned");
+            let slot = shard.slot(local).lock().expect("slot lock poisoned");
             let Some(s) = slot.session.as_ref() else {
                 // Empty slot: its retire tombstones are being compacted
                 // away, so persist the generation as a watermark — recovery
@@ -1711,17 +1808,20 @@ impl SearchEngine {
         }
     }
 
-    /// Pushes an idle-heap entry for a just-touched session. Called under
-    /// the session's slot lock (the slot→heap order is the sanctioned
-    /// one); no-op when idle eviction is off. When lazy entries outgrow
-    /// `2·slots + slack`, the heap is compacted to its newest entry per
-    /// slot — per slot the newest touch also carries the newest
-    /// generation, so no live session's entry is lost.
+    /// Pushes the idle-heap entry of a just-opened session — its only one
+    /// for life; steps and `finish` merely advance `last_touch`, and
+    /// sweeps re-key the entry. Called under the session's slot lock (the
+    /// slot→heap order is the sanctioned one); no-op when idle eviction is
+    /// off. Retired sessions leave their entry behind as residue, so when
+    /// the heap outgrows `2·slots + slack` it is compacted to the newest
+    /// generation's entry per slot: at most one tenant per slot is live,
+    /// and it holds the newest generation, so no live session's entry is
+    /// lost.
     fn touch_idle(&self, shard: &Shard, local: u32, generation: u32, touch: u64) {
         if self.config.idle_ticks.is_none() {
             return;
         }
-        let mut heap = shard.idle.lock().expect("idle heap poisoned");
+        let mut heap = shard.idle_heap();
         heap.push(Reverse((touch, local, generation)));
         // The slot count must be read *under* the heap lock: every entry
         // already in the heap was pushed (under this lock) for a slot that
@@ -1729,33 +1829,38 @@ impl SearchEngine {
         // bounds every `l` below. A count taken before the lock does not —
         // a concurrent open_session could allocate a new slot and push its
         // entry first, and the compaction would index out of bounds.
-        // Lock order heap→slots-read is safe: no thread takes the heap
-        // lock while holding the slots write lock.
-        let slot_count = shard.slots.read().expect("slots lock poisoned").len();
+        let slot_count = shard.slots.len() as usize;
         if heap.len() > 2 * slot_count + IDLE_HEAP_SLACK {
-            let mut newest: Vec<Option<(u64, u32)>> = vec![None; slot_count];
+            let mut newest: Vec<Option<(u32, u64)>> = vec![None; slot_count];
             for &Reverse((t, l, g)) in heap.iter() {
                 let cell = &mut newest[l as usize];
-                if cell.is_none_or(|(bt, _)| t > bt) {
-                    *cell = Some((t, g));
+                // Generations wrap: `g` is newer when it is less than half
+                // the ring ahead. Residue spans only the tenants since the
+                // last compaction, far fewer than 2^31.
+                if cell.is_none_or(|(bg, _)| g.wrapping_sub(bg) as i32 > 0) {
+                    *cell = Some((g, t));
                 }
             }
             *heap = newest
                 .into_iter()
                 .enumerate()
-                .filter_map(|(l, e)| e.map(|(t, g)| Reverse((t, l as u32, g))))
+                .filter_map(|(l, e)| e.map(|(g, t)| Reverse((t, l as u32, g))))
                 .collect();
         }
     }
 
-    /// Drains one shard's expired sessions off its last-touch heap:
-    /// returns how many were evicted, plus the age of the shard's oldest
-    /// still-live session (the caller's backoff hint). Entries whose slot
-    /// has moved on — newer generation, or a later touch — are lazy
-    /// residue and are discarded; every live session keeps exactly one
-    /// current entry (pushed at its last touch), so the first *current*
-    /// entry popped is the shard's true least-recently-touched session,
-    /// and if it has not expired nothing after it can have.
+    /// Drains one shard's expired sessions off its idle heap: returns how
+    /// many were evicted, plus the age of the shard's oldest still-live
+    /// session (the caller's backoff hint). Every live session owns one
+    /// entry keyed at or before its `last_touch`, so the smallest key
+    /// bounds every live session's last touch from below. A popped entry
+    /// whose session was touched since is re-keyed to its `last_touch`
+    /// and pushed back; one whose slot moved on to a newer generation is
+    /// residue and is discarded. The first entry popped whose key *is*
+    /// its session's `last_touch` is therefore the shard's true
+    /// least-recently-touched session, and if it has not expired nothing
+    /// after it can have. Each re-key pays for at least one touch, so a
+    /// sweep costs O((expired + touched since the last sweep) · log n).
     fn evict_expired(&self, shard: &Shard) -> (usize, Option<u64>) {
         let Some(max_idle) = self.config.idle_ticks else {
             return (0, None);
@@ -1767,24 +1872,35 @@ impl SearchEngine {
         let now = self.clock.load(Ordering::Relaxed);
         let mut evicted = 0;
         let oldest = loop {
-            let Some(entry) = shard.idle.lock().expect("idle heap poisoned").pop() else {
+            let popped = {
+                let mut heap = shard.idle_heap();
+                if matches!(failpoints::hit("engine.idle"), Some(FaultAction::Panic)) {
+                    panic!("injected idle-heap panic");
+                }
+                heap.pop()
+            };
+            let Some(entry) = popped else {
                 break None;
             };
-            let Reverse((touch, local, generation)) = entry;
-            let slot_arc = slot_arc(shard, local);
+            let Reverse((key, local, generation)) = entry;
             let reclaimed = {
-                let mut slot = slot_arc.lock().expect("slot lock poisoned");
-                let current = slot.generation == generation
-                    && slot.session.as_ref().is_some_and(|s| s.last_touch == touch);
-                if !current {
-                    continue; // lazy residue of an older touch or tenant
+                let mut slot = shard.slot(local).lock().expect("slot lock poisoned");
+                let touch = match &slot.session {
+                    Some(s) if slot.generation == generation => s.last_touch,
+                    _ => continue, // residue of a retired tenant
+                };
+                if touch != key {
+                    // Touched since this entry was keyed: re-key it to the
+                    // session's real last touch and keep draining.
+                    shard.idle_heap().push(Reverse((touch, local, generation)));
+                    continue;
                 }
                 let age = now.saturating_sub(touch);
                 if age < max_idle {
                     // The shard's oldest live session, still fresh: put its
                     // entry back and stop — the heap holds nothing older.
                     drop(slot);
-                    shard.idle.lock().expect("idle heap poisoned").push(entry);
+                    shard.idle_heap().push(entry);
                     break Some(age);
                 }
                 // Expired: evict under the slot lock. The eviction event is
@@ -1825,32 +1941,30 @@ impl SearchEngine {
     fn release_slot(&self, shard: &Shard, local: u32) {
         self.live.fetch_sub(1, Ordering::Relaxed);
         shard.live.fetch_sub(1, Ordering::Relaxed);
-        shard.free.lock().expect("free list poisoned").push(local);
+        shard.free_list().push(local);
     }
 
     /// Resolves `id` to its shard, local slot index and slot, rejecting
-    /// ids issued by another engine.
-    fn locate(&self, id: SessionId) -> Result<(usize, u32, Arc<Mutex<Slot>>), ServiceError> {
+    /// ids issued by another engine. Lock-free: two indexed loads.
+    fn locate(&self, id: SessionId) -> Result<(usize, u32, &Mutex<Slot>), ServiceError> {
         if id.engine != self.engine_id {
             return Err(ServiceError::UnknownSession(id));
         }
         let shard_count = self.shards.len() as u32;
         let shard_k = (id.index % shard_count) as usize;
         let local = id.index / shard_count;
-        let slots = self.shards[shard_k]
+        self.shards[shard_k]
             .slots
-            .read()
-            .expect("slots lock poisoned");
-        slots
-            .get(local as usize)
-            .cloned()
-            .map(|arc| (shard_k, local, arc))
+            .get(local)
+            .map(|slot| (shard_k, local, slot))
             .ok_or(ServiceError::UnknownSession(id))
     }
 
     /// Runs `f` — a step that calls into the session's policy — on the live
     /// session behind `id`, touching its idle clock; returns the owning
-    /// shard's index alongside `f`'s outcome.
+    /// shard's index alongside `f`'s outcome. The slot mutex is the only
+    /// lock taken: the touch is a plain `last_touch` write that the next
+    /// sweep folds into the session's idle-heap entry.
     ///
     /// The policy call is wrapped in `catch_unwind`: a panicking policy
     /// quarantines **only its own session** (see [`Self::quarantine`]) and
@@ -1869,9 +1983,9 @@ impl SearchEngine {
         f: impl FnOnce(&mut LiveSession) -> Result<T, CoreError>,
         event: impl FnOnce(&T, u32) -> Option<WalEvent>,
     ) -> Result<(usize, Result<T, CoreError>, PolicyKind), ServiceError> {
-        let (shard_k, local, slot_arc) = self.locate(id)?;
+        let (shard_k, local, slot) = self.locate(id)?;
         let shard = &self.shards[shard_k];
-        let mut slot = slot_arc.lock().expect("slot lock poisoned");
+        let mut slot = slot.lock().expect("slot lock poisoned");
         if slot.generation != id.generation {
             return Err(ServiceError::UnknownSession(id));
         }
@@ -1880,9 +1994,7 @@ impl SearchEngine {
             .as_mut()
             .ok_or(ServiceError::UnknownSession(id))?;
         let kind = session.kind;
-        let now = self.tick();
-        session.last_touch = now;
-        self.touch_idle(shard, local, id.generation, now);
+        session.last_touch = self.tick();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if matches!(failpoints::hit("engine.policy"), Some(FaultAction::Panic)) {
                 panic!("injected policy panic");
@@ -1955,10 +2067,10 @@ impl SearchEngine {
         id: SessionId,
         how: Removal,
     ) -> Result<(usize, PolicyKind, telemetry::Tier), ServiceError> {
-        let (shard_k, local, slot_arc) = self.locate(id)?;
+        let (shard_k, local, slot) = self.locate(id)?;
         let shard = &self.shards[shard_k];
         let session = {
-            let mut slot = slot_arc.lock().expect("slot lock poisoned");
+            let mut slot = slot.lock().expect("slot lock poisoned");
             if slot.generation != id.generation || slot.session.is_none() {
                 return Err(ServiceError::UnknownSession(id));
             }
@@ -2003,26 +2115,15 @@ impl SearchEngine {
 /// `release_slot` on every teardown path).
 fn allocate_slot(shard: &Shard) -> u32 {
     shard.live.fetch_add(1, Ordering::Relaxed);
-    if let Some(i) = shard.free.lock().expect("free list poisoned").pop() {
-        return i;
-    }
-    let mut slots = shard.slots.write().expect("slots lock poisoned");
-    let local = u32::try_from(slots.len()).expect("slot count fits u32");
-    slots.push(Arc::new(Mutex::new(Slot {
-        generation: 0,
-        session: None,
-    })));
-    local
-}
-
-fn slot_arc(shard: &Shard, local: u32) -> Arc<Mutex<Slot>> {
-    Arc::clone(&shard.slots.read().expect("slots lock poisoned")[local as usize])
+    // Bind the pop so the free-list guard drops before any growth.
+    let reused = shard.free_list().pop();
+    reused.unwrap_or_else(|| shard.slots.push(Slot::empty(0)))
 }
 
 /// One shard's recovered state, produced off-thread during the parallel
 /// phase of [`SearchEngine::recover_with`].
 struct ShardParts {
-    slots: Vec<Arc<Mutex<Slot>>>,
+    slots: SlotTable,
     free: Vec<u32>,
     idle: BinaryHeap<IdleEntry>,
     live: usize,
@@ -2087,7 +2188,7 @@ fn restore_shard(
     track_idle: bool,
 ) -> ShardParts {
     let mut parts = ShardParts {
-        slots: Vec::with_capacity(rs.sessions.len()),
+        slots: SlotTable::new(),
         free: Vec::new(),
         idle: BinaryHeap::new(),
         live: 0,
@@ -2114,18 +2215,15 @@ fn restore_shard(
                 let parked = max_gen
                     .map_or(0, |g| g.wrapping_add(1))
                     .max(rs.floors[local]);
-                parts.slots.push(Arc::new(Mutex::new(Slot {
-                    generation: parked,
-                    session: None,
-                })));
+                parts.slots.push(Slot::empty(parked));
                 parts.free.push(local as u32);
             }
             Some(rsess) => match restore_session(plans, &rsess, max_queries, tier) {
                 Ok(session) => {
-                    parts.slots.push(Arc::new(Mutex::new(Slot {
+                    parts.slots.push(Slot {
                         generation: rsess.generation,
                         session: Some(session),
-                    })));
+                    });
                     if track_idle {
                         // Recovered sessions start at touch 0 (the clock
                         // restarts): idle-oldest until touched again.
@@ -2139,10 +2237,9 @@ fn restore_shard(
                 Err(why) => {
                     parts.failed += 1;
                     parts.anomalies.push(format!("slot {local}: {why}"));
-                    parts.slots.push(Arc::new(Mutex::new(Slot {
-                        generation: rsess.generation.wrapping_add(1),
-                        session: None,
-                    })));
+                    parts
+                        .slots
+                        .push(Slot::empty(rsess.generation.wrapping_add(1)));
                     parts.free.push(local as u32);
                 }
             },
@@ -2251,5 +2348,221 @@ impl SessionHandle<'_> {
     /// See [`SearchEngine::cancel`].
     pub fn cancel(self) -> Result<(), ServiceError> {
         self.engine.cancel(self.id)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aigs_graph::{Dag, NodeId};
+    use aigs_testutil::{generic_weights, tree_from_seed};
+    use std::collections::HashSet;
+
+    const N: usize = 6;
+
+    fn idle_engine(idle_ticks: u64) -> (SearchEngine, PlanId, Arc<Dag>) {
+        let dag = Arc::new(tree_from_seed(N, 3));
+        let engine = SearchEngine::new(EngineConfig {
+            shards: 1,
+            idle_ticks: Some(idle_ticks),
+            ..EngineConfig::default()
+        });
+        let plan = engine
+            .register_plan(PlanSpec::new(
+                Arc::clone(&dag),
+                Arc::new(generic_weights(N, 3)),
+            ))
+            .unwrap();
+        (engine, plan, dag)
+    }
+
+    fn drive_to_finish(engine: &SearchEngine, id: SessionId, dag: &Dag, target: NodeId) {
+        while let SessionStep::Ask(q) = engine.next_question(id).unwrap() {
+            engine.answer(id, dag.reaches(q, target)).unwrap();
+        }
+        assert_eq!(engine.finish(id).unwrap().target, target);
+    }
+
+    fn heap_entries(engine: &SearchEngine) -> Vec<(u64, u32, u32)> {
+        let mut v: Vec<_> = engine.shards[0]
+            .idle_heap()
+            .iter()
+            .map(|&Reverse(e)| e)
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn last_touch(engine: &SearchEngine, local: u32) -> u64 {
+        let slot = engine.shards[0].slot(local).lock().unwrap();
+        slot.session.as_ref().expect("live session").last_touch
+    }
+
+    #[test]
+    fn chunk_map_at_every_boundary() {
+        assert_eq!(chunk_of(0), (0, 0));
+        assert_eq!(chunk_of(63), (0, 63));
+        assert_eq!(chunk_of(64), (1, 0));
+        assert_eq!(chunk_of(191), (1, 127));
+        assert_eq!(chunk_of(192), (2, 0));
+        for c in 1..SLOT_CHUNKS {
+            let start = (FIRST_CHUNK * ((1u64 << c) - 1)) as u32;
+            assert_eq!(chunk_of(start), (c, 0), "first slot of chunk {c}");
+            let prev = (FIRST_CHUNK << (c - 1)) as usize - 1;
+            assert_eq!(
+                chunk_of(start - 1),
+                (c - 1, prev),
+                "last slot of chunk {}",
+                c - 1
+            );
+        }
+        // The last chunk ends exactly past the u32 index space.
+        assert_eq!(chunk_of(u32::MAX - 63), (SLOT_CHUNKS - 1, 0));
+        assert_eq!(chunk_of(u32::MAX), (SLOT_CHUNKS - 1, 63));
+    }
+
+    #[test]
+    fn slot_table_publishes_in_order_and_grows_lazily() {
+        let table = SlotTable::new();
+        assert!(table.get(0).is_none());
+        for g in 0..200u32 {
+            assert_eq!(table.push(Slot::empty(g)), g);
+        }
+        assert_eq!(table.len(), 200);
+        for g in 0..200u32 {
+            assert_eq!(table.get(g).unwrap().lock().unwrap().generation, g);
+        }
+        assert!(table.get(200).is_none());
+        // 200 slots span chunks 0–2 (64 + 128 + 256 capacity); no more.
+        let allocated: Vec<bool> = table.chunks.iter().map(|c| c.get().is_some()).collect();
+        assert_eq!(&allocated[..4], &[true, true, true, false]);
+    }
+
+    #[test]
+    fn stepped_session_is_rekeyed_not_evicted() {
+        let (engine, plan, _) = idle_engine(10);
+        let id = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
+        let opened_at = last_touch(&engine, 0);
+        for _ in 0..20 {
+            engine.next_question(id).unwrap();
+        }
+        // Steps never push: the session still owns its one open-time entry.
+        assert_eq!(heap_entries(&engine), vec![(opened_at, 0, 0)]);
+        assert_eq!(engine.sweep_idle(), 0, "a stepped session is not idle");
+        assert_eq!(
+            heap_entries(&engine),
+            vec![(last_touch(&engine, 0), 0, 0)],
+            "the sweep re-keys the entry to the session's last touch"
+        );
+        assert_eq!(engine.live_sessions(), 1);
+    }
+
+    #[test]
+    fn open_finish_churn_keeps_the_heap_bounded() {
+        let (engine, plan, dag) = idle_engine(u64::MAX);
+        let window = 4;
+        let mut ids: Vec<(SessionId, NodeId)> = Vec::new();
+        for i in 0..100_000usize {
+            if ids.len() == window {
+                let (id, z) = ids.remove(0);
+                drive_to_finish(&engine, id, &dag, z);
+            }
+            let id = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
+            ids.push((id, NodeId::new(i % N)));
+            let slots = engine.shards[0].slots.len() as usize;
+            let heap = engine.shards[0].idle_heap().len();
+            assert!(
+                heap <= 2 * slots + IDLE_HEAP_SLACK,
+                "cycle {i}: heap {heap} > 2·{slots} + {IDLE_HEAP_SLACK}"
+            );
+        }
+        // Compaction kept every live session's entry: each is still one
+        // sweep away from eviction once it really goes idle.
+        let live: Vec<u32> = ids.iter().map(|(id, _)| id.index).collect();
+        let entries = heap_entries(&engine);
+        for local in live {
+            assert!(entries.iter().any(|&(_, l, _)| l == local));
+        }
+    }
+
+    /// Concurrent opens, steps and finishes on 1 and 4 shards: ids are never
+    /// reissued, no slot is ever held by two live sessions, and `stats().live`
+    /// is exact at every quiescent point between phases. The first phase's
+    /// concurrent opens grow the slot table across several chunk
+    /// boundaries; the second races finishes against opens through the
+    /// free list.
+    #[test]
+    fn concurrent_churn_hands_out_each_slot_once() {
+        const THREADS: usize = 4;
+        const BATCH: usize = 100;
+        let dag = Arc::new(tree_from_seed(N, 5));
+        let weights = Arc::new(generic_weights(N, 5));
+        for shards in [1, 4] {
+            let engine = SearchEngine::new(EngineConfig {
+                shards,
+                ..EngineConfig::default()
+            });
+            let spec = PlanSpec::new(Arc::clone(&dag), Arc::clone(&weights));
+            let plan = engine.register_plan(spec).unwrap();
+            let issued = Mutex::new(HashSet::new());
+            let held = Mutex::new(HashSet::new());
+            let open = |t: usize, i: usize| {
+                let id = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
+                assert!(issued.lock().unwrap().insert(id), "id {id:?} issued twice");
+                let fresh = held.lock().unwrap().insert(id.index);
+                assert!(fresh, "slot {} handed out twice", id.index);
+                (id, NodeId::new((t * BATCH + i) % N))
+            };
+            let finish = |(id, target): (SessionId, NodeId)| {
+                // Release the claim first: the slot only frees inside finish.
+                assert!(held.lock().unwrap().remove(&id.index));
+                drive_to_finish(&engine, id, &dag, target);
+            };
+            // Runs one phase on every thread, then checks the live count at
+            // the quiescent point after it.
+            let phase = |mine: Vec<Vec<(SessionId, NodeId)>>,
+                         step: &(dyn Fn(usize, Vec<(SessionId, NodeId)>) -> Vec<_> + Sync),
+                         want: usize| {
+                let mine: Vec<_> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = mine
+                        .into_iter()
+                        .enumerate()
+                        .map(|(t, m)| scope.spawn(move || step(t, m)))
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                assert_eq!(engine.stats().live, want, "{shards} shards");
+                let per_shard: u64 = engine.stats_per_shard().iter().map(|s| s.live).sum();
+                assert_eq!(per_shard as usize, want, "{shards} shards");
+                mine
+            };
+            let mine = phase(
+                vec![Vec::new(); THREADS],
+                &|t, _| (0..BATCH).map(|i| open(t, i)).collect(),
+                THREADS * BATCH,
+            );
+            let mine = phase(
+                mine,
+                &|t, mut m| {
+                    for (i, slot) in m.iter_mut().enumerate() {
+                        let old = std::mem::replace(slot, open(t, i));
+                        finish(old);
+                    }
+                    m
+                },
+                THREADS * BATCH,
+            );
+            phase(
+                mine,
+                &|_, m| {
+                    m.into_iter().for_each(finish);
+                    Vec::new()
+                },
+                0,
+            );
+            let stats = engine.stats();
+            assert_eq!(stats.opened as usize, 2 * THREADS * BATCH);
+            assert_eq!(stats.finished, stats.opened);
+        }
     }
 }

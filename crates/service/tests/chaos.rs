@@ -622,3 +622,46 @@ fn degraded_mode_is_read_mostly_and_preserves_acks() {
         assert_eq!(got_out.price.to_bits(), want_out.price.to_bits());
     }
 }
+
+/// A panic inside the idle heap's critical section (the `engine.idle`
+/// fail point, hit while a sweep holds the heap lock) poisons that lock.
+/// The guarded structure is consistent at every instant a panic can
+/// unwind through, so the shard recovers the guard instead of bricking:
+/// it keeps opening, stepping and sweeping, and the session that was
+/// idle when the sweep panicked is still evicted later.
+#[test]
+fn idle_heap_panic_does_not_brick_the_shard() {
+    let _g = lock();
+    failpoints::disarm_all();
+    let spec = plan_spec(0x1d1e);
+    let dag = spec.dag.clone();
+    let engine = SearchEngine::new(EngineConfig {
+        shards: 1,
+        idle_ticks: Some(2),
+        ..EngineConfig::default()
+    });
+    let plan = engine.register_plan(spec).unwrap();
+    let idle = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
+
+    failpoints::arm("engine.idle", 1, FaultAction::Panic);
+    let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.sweep_idle()));
+    failpoints::disarm_all();
+    assert!(swept.is_err(), "the armed sweep must panic");
+
+    // Opening pushes onto the poisoned heap; stepping and finishing work.
+    let id = engine
+        .open_session(plan, PolicyKind::GreedyDag)
+        .unwrap()
+        .id();
+    let (_, out) = drive_to_end(&engine, id, &dag, NodeId::new(4));
+    assert_eq!(out.target, NodeId::new(4));
+    // Sweeping pops from it: the untouched session has aged past 2 ticks
+    // (the open, at least one step and the finish).
+    assert_eq!(engine.sweep_idle(), 1);
+    assert!(matches!(
+        engine.next_question(idle),
+        Err(ServiceError::UnknownSession(_))
+    ));
+    let stats = engine.stats();
+    assert_eq!((stats.live, stats.evicted, stats.finished), (0, 1, 1));
+}

@@ -7,7 +7,8 @@ use aigs_core::{CoreError, NodeWeights, SessionStep};
 use aigs_graph::generate::{random_dag, random_tree, DagConfig, TreeConfig};
 use aigs_graph::{Dag, NodeId};
 use aigs_service::{
-    CompiledTier, EngineConfig, PlanSpec, PolicyKind, SearchEngine, ServiceError, SessionId,
+    CompiledTier, EngineConfig, PlanSpec, PolicyKind, SearchEngine, ServiceError, SessionHandle,
+    SessionId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -370,6 +371,80 @@ fn admission_limit_and_idle_eviction() {
     assert_eq!(drive(&engine, active, &dag, z), z);
     let fresh_id = fresh.id();
     assert_eq!(drive(&engine, fresh_id, &dag, z), z);
+}
+
+/// Steps only advance `last_touch`; the session's one idle-heap entry
+/// keeps its open-time key until a sweep re-keys it. A session stepped
+/// after open must survive the sweep (its stale key alone would read as
+/// expired), then be evicted once it has really been idle for
+/// `idle_ticks`.
+#[test]
+fn stepped_session_is_rekeyed_then_evicted_when_really_idle() {
+    let (dag, weights) = tree_plan(30, 31);
+    let engine = SearchEngine::new(EngineConfig {
+        idle_ticks: Some(10),
+        ..EngineConfig::default()
+    });
+    let plan = engine.register_plan(PlanSpec::new(dag, weights)).unwrap();
+    // Every open and step is one tick; cancel and sweep are none.
+    let id = engine.open_session(plan, PolicyKind::TopDown).unwrap().id(); // tick 1
+    for _ in 0..20 {
+        engine.next_question(id).unwrap(); // ticks 2..=21
+    }
+    assert_eq!(engine.sweep_idle(), 0, "touched at 21, clock 21: not idle");
+    let tick = || {
+        let probe = engine.open_session(plan, PolicyKind::TopDown).unwrap();
+        probe.cancel().unwrap();
+    };
+    for _ in 0..9 {
+        tick();
+    }
+    assert_eq!(engine.sweep_idle(), 0, "idle for 9 of 10 ticks");
+    assert_eq!(engine.live_sessions(), 1);
+    tick();
+    assert_eq!(engine.sweep_idle(), 1, "idle for 10 ticks");
+    assert_eq!(engine.live_sessions(), 0);
+    assert_eq!(engine.stats().evicted, 1);
+    assert!(matches!(
+        engine.next_question(id),
+        Err(ServiceError::UnknownSession(_))
+    ));
+}
+
+/// The `oldest_idle` hint of an `AtCapacity` refusal.
+fn refused_oldest_idle(refused: Result<SessionHandle<'_>, ServiceError>) -> Option<u64> {
+    match refused {
+        Err(ServiceError::AtCapacity { oldest_idle, .. }) => oldest_idle,
+        other => panic!("expected AtCapacity, got {:?}", other.map(|h| h.id())),
+    }
+}
+
+/// `AtCapacity::oldest_idle` is the true oldest idle age even while the
+/// heap holds keys older than any session's last touch (sessions stepped
+/// since their entry was keyed).
+#[test]
+fn oldest_idle_is_exact_while_heap_keys_are_stale() {
+    let (dag, weights) = tree_plan(30, 37);
+    let engine = SearchEngine::new(EngineConfig {
+        max_sessions: 3,
+        idle_ticks: Some(1_000),
+        ..EngineConfig::default()
+    });
+    let plan = engine.register_plan(PlanSpec::new(dag, weights)).unwrap();
+    let open = || engine.open_session(plan, PolicyKind::TopDown);
+    let a = open().unwrap().id(); // tick 1
+    let b = open().unwrap().id(); // tick 2
+    let c = open().unwrap().id(); // tick 3
+    for _ in 0..5 {
+        engine.next_question(a).unwrap(); // ticks 4..=8: a's key 1 is stale
+    }
+    engine.next_question(c).unwrap(); // tick 9
+                                      // Tick 10: b, last touched at 2, is the oldest.
+    assert_eq!(refused_oldest_idle(open()), Some(8));
+    engine.next_question(b).unwrap(); // tick 11: now b's key 2 is stale
+                                      // Tick 12: a (touched at 8) is the oldest; c was touched at 9.
+    assert_eq!(refused_oldest_idle(open()), Some(4));
+    assert_eq!(engine.stats().evicted, 0);
 }
 
 #[test]

@@ -6,6 +6,7 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use aigs_core::{
@@ -313,6 +314,101 @@ fn failed_finish_keeps_session_evictable() {
         "abandoned session must be evictable"
     );
     assert_eq!(engine.live_sessions(), 0);
+}
+
+/// Steps racing `sweep_idle` from other threads must never evict a
+/// session touched within `idle_ticks`. Three threads keep re-touching
+/// their own session while a fourth sweeps; each stepper brackets its
+/// touches with reads of the logical clock, so an eviction it observes
+/// can be checked against the last touch it knows of. Untouched sessions
+/// opened up front must all be evicted, and `stats().evicted` must equal
+/// what the sweeps reported.
+#[test]
+fn steps_racing_sweeps_never_evict_fresh_sessions() {
+    const IDLE: u64 = 64;
+    const COLD: usize = 32;
+    const STEPS: usize = 3_000;
+    let engine = SearchEngine::new(EngineConfig {
+        shards: 4,
+        idle_ticks: Some(IDLE),
+        ..EngineConfig::default()
+    });
+    let plan = engine.register_plan(plan_spec()).unwrap();
+    let clock = || engine.telemetry().clock;
+    let cold: Vec<_> = (0..COLD)
+        .map(|_| engine.open_session(plan, PolicyKind::TopDown).unwrap().id())
+        .collect();
+    let done = AtomicBool::new(false);
+    let (swept, hot_evicted, cancelled) = std::thread::scope(|scope| {
+        let sweeper = scope.spawn(|| {
+            let mut swept = 0;
+            while !done.load(Ordering::Relaxed) {
+                swept += engine.sweep_idle();
+            }
+            swept
+        });
+        let steppers: Vec<_> = (0..3)
+            .map(|_| {
+                scope.spawn(|| {
+                    let (mut evicted, mut cancelled) = (0usize, 0usize);
+                    // `since` is a clock reading taken before the session's
+                    // latest touch, so that touch happened after `since`.
+                    let mut since = clock();
+                    let mut id = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
+                    for _ in 0..STEPS {
+                        let before = clock();
+                        match engine.next_question(id) {
+                            Ok(_) => since = before,
+                            Err(ServiceError::UnknownSession(_)) => {
+                                let after = clock();
+                                assert!(
+                                    after - (since + 1) >= IDLE,
+                                    "evicted although touched after clock {since}, \
+                                     with the clock at most {after}"
+                                );
+                                evicted += 1;
+                                since = clock();
+                                id = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
+                            }
+                            Err(e) => panic!("unexpected step error: {e:?}"),
+                        }
+                    }
+                    match engine.cancel(id) {
+                        Ok(()) => cancelled += 1,
+                        Err(ServiceError::UnknownSession(_)) => evicted += 1,
+                        Err(e) => panic!("unexpected cancel error: {e:?}"),
+                    }
+                    (evicted, cancelled)
+                })
+            })
+            .collect();
+        let (mut evicted, mut cancelled) = (0, 0);
+        for h in steppers {
+            let (e, c) = h.join().unwrap();
+            evicted += e;
+            cancelled += c;
+        }
+        done.store(true, Ordering::Relaxed);
+        (sweeper.join().unwrap(), evicted, cancelled)
+    });
+    // The steppers advanced the clock far past IDLE: every cold session
+    // has expired, whether or not the racing sweeps got to it.
+    let swept = swept + engine.sweep_idle();
+    for id in cold {
+        assert!(matches!(
+            engine.next_question(id),
+            Err(ServiceError::UnknownSession(_))
+        ));
+    }
+    let stats = engine.stats();
+    assert_eq!(
+        stats.evicted as usize, swept,
+        "evictions reconcile with sweeps"
+    );
+    assert_eq!(stats.evicted as usize, COLD + hot_evicted);
+    assert_eq!(stats.cancelled as usize, cancelled);
+    assert_eq!(stats.live, 0);
+    assert_eq!(stats.opened, stats.evicted + stats.cancelled);
 }
 
 /// `shards: 0` resolves via `AIGS_SHARDS` or the host's parallelism and
