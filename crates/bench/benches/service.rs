@@ -49,11 +49,11 @@
 //!   sweep instead demonstrates that sharding costs nothing when the
 //!   parallelism is not there (flat rows, no cross-shard contention
 //!   collapse).
-//! * `service_telemetry_overhead/step-{on,off}/{live}` — the
-//!   greedy-dag-closure step workload with the telemetry cells enabled
-//!   (the shipping default) vs disabled: the on-row must stay within 10%
-//!   of the off-row, the budget ISSUE/README state for always-on
-//!   observability.
+//! * `service_telemetry_overhead/{compiled-step,step}-{on,off}/{live}` —
+//!   the greedy-dag-closure step workload on the compiled and the live
+//!   tier with the telemetry cells enabled (the shipping default) vs
+//!   disabled. CI gates the compiled pair, the cheapest tier, at on ≤
+//!   1.10× off (see `bench_telemetry_overhead`).
 //! * `service_live_scale/top-down-closure/{live}` — single-step latency
 //!   with ≥1,000,000 concurrently live sessions (the slab's design
 //!   target), plus a printed open-rate/RSS report from the same pass.
@@ -780,13 +780,23 @@ fn bench_million_live(c: &mut Criterion) {
     group.finish();
 }
 
-/// Telemetry's hot-path tax, measured directly: the `service_step`
-/// workload on greedy-dag-closure with the metric cells enabled
-/// (`step-on`, the shipping default) and disabled (`step-off`). The rows
-/// share the pre-advance and population logic with `bench_step`, so
-/// on/off is the only variable; the gate is that `step-on` stays within
-/// 10% of `step-off` (each telemetry record is two relaxed `fetch_add`s
-/// plus one `Instant::now` pair per operation).
+/// Telemetry's hot-path tax, measured directly: the `service_step` loop
+/// (same pre-advance, same closure oracle) with the metric cells enabled
+/// (`*-on`, the shipping default) and disabled (`*-off`), so on/off is
+/// the only variable within each pair.
+///
+/// * `compiled-step-{on,off}` — greedy-dag-closure served from an
+///   untruncated compiled tree, the cheapest tier, where a fixed
+///   per-op cost shows most. CI gates `compiled-step-on` at ≤1.10×
+///   `compiled-step-off` in the same smoke run (`bench_check
+///   --require-faster`).
+/// * `step-{on,off}` — the same workload on the live tier. Its multi-µs
+///   policy step hides telemetry's cost, so this pair is informational
+///   and not gated.
+///
+/// Each op bumps one relaxed counter; one in `SAMPLE_EVERY` ops per
+/// thread (and each kind's first on each shard) also reads the clock
+/// and records its duration.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let live = live_sessions();
     let mut group = c.benchmark_group("service_telemetry_overhead");
@@ -795,15 +805,27 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         .into_iter()
         .find(|s| s.label == "greedy-dag-closure")
         .expect("greedy-dag-closure scenario");
-    for (label, enabled) in [("step-on", true), ("step-off", false)] {
+    for (label, compiled, enabled) in [
+        ("step-on", false, true),
+        ("step-off", false, false),
+        ("compiled-step-on", true, true),
+        ("compiled-step-off", true, false),
+    ] {
         let engine = SearchEngine::new(EngineConfig {
             max_sessions: live + 8,
             telemetry: Some(enabled),
+            compiled: if compiled {
+                CompiledTier::PerPlan
+            } else {
+                CompiledTier::Off
+            },
             ..EngineConfig::default()
         });
-        let plan = engine
-            .register_plan(PlanSpec::new(s.dag.clone(), s.weights.clone()).with_reach(s.reach))
-            .unwrap();
+        let mut spec = PlanSpec::new(s.dag.clone(), s.weights.clone()).with_reach(s.reach);
+        if compiled {
+            spec = spec.with_compiled(CompiledConfig::new());
+        }
+        let plan = engine.register_plan(spec).unwrap();
         let mut sessions: Vec<(SessionId, NodeId)> = (0..live)
             .map(|i| {
                 let z = target(&s.dag, i);
@@ -819,14 +841,21 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                 cursor = (cursor + 1) % live;
             })
         });
+        let stats = engine.stats();
+        assert_eq!(
+            stats.compiled_hits > 0,
+            compiled,
+            "{label}: served from the wrong tier"
+        );
         if enabled {
             // The instrumented run must actually have instrumented: the
-            // cells hold every step the measurement loop made.
+            // cells count every step the measurement loop made.
             let snap = engine.telemetry();
             use aigs_service::telemetry::Op;
-            assert!(
-                snap.op_total(Op::Next) > 0,
-                "telemetry-on row recorded nothing"
+            assert_eq!(
+                snap.op_total(Op::Next) + snap.op_total(Op::Answer),
+                stats.steps,
+                "{label}: telemetry missed steps"
             );
         }
         for (id, _) in sessions {

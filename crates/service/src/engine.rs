@@ -4,8 +4,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::time::Instant;
 
 use aigs_core::{
     CompiledConfig, CompiledCursor, CompiledPlan, CoreError, SearchOutcome, SessionStep,
@@ -450,6 +451,8 @@ impl SlotTable {
 /// newer generation are residue, discarded when popped.
 type IdleEntry = Reverse<(u64, u32, u32)>;
 
+/// A shard's lifecycle counters. Steps, compiled hits and answer-time
+/// fallbacks are counted once, in the shard's telemetry count grid.
 #[derive(Default)]
 struct Counters {
     opened: AtomicU64,
@@ -458,9 +461,9 @@ struct Counters {
     evicted: AtomicU64,
     errored: AtomicU64,
     panicked: AtomicU64,
-    steps: AtomicU64,
     pool_hits: AtomicU64,
-    compiled_hits: AtomicU64,
+    /// Opens on a root-truncated tree (the answer-time fallbacks are in
+    /// the count grid).
     compiled_fallbacks: AtomicU64,
 }
 
@@ -597,6 +600,12 @@ pub struct SearchEngine {
     /// Whether telemetry records (resolved once at construction); gates
     /// the hot paths' `Instant::now()` reads.
     telemetry_enabled: bool,
+    /// The ops timed at least once on every shard (one bit per op): past
+    /// that, only the per-thread sampling rate times them. Set with
+    /// `Release` after `Acquire` loads of every shard's bit, read with
+    /// `Acquire`, so an op that skips the shard check still counts after
+    /// its kind's held durations exist.
+    telemetry_warm: AtomicU8,
     /// Slow-op journal threshold in nanoseconds (`AIGS_SLOW_OP_NS`).
     slow_threshold_ns: u64,
 }
@@ -684,6 +693,7 @@ impl SearchEngine {
             placement: AtomicUsize::new(0),
             degraded,
             telemetry_enabled,
+            telemetry_warm: AtomicU8::new(0),
             slow_threshold_ns: telemetry::resolve_slow_threshold(),
         })
     }
@@ -807,7 +817,7 @@ impl SearchEngine {
         let telemetry_enabled = telemetry::resolve_enabled(config.telemetry);
         let clock = Arc::new(AtomicU64::new(0));
         let degraded = DegradedState::new(Arc::clone(&clock));
-        let recover_timer = telemetry_enabled.then(std::time::Instant::now);
+        let recover_timer = telemetry_enabled.then(Instant::now);
         let mut shards = Vec::with_capacity(shard_count);
         let mut live = 0usize;
         for (k, part) in parts.into_iter().enumerate() {
@@ -853,6 +863,7 @@ impl SearchEngine {
             placement: AtomicUsize::new(0),
             degraded: Arc::clone(&degraded),
             telemetry_enabled,
+            telemetry_warm: AtomicU8::new(0),
             slow_threshold_ns: telemetry::resolve_slow_threshold(),
         };
 
@@ -947,7 +958,7 @@ impl SearchEngine {
         kind: PolicyKind,
     ) -> Result<SessionHandle<'_>, ServiceError> {
         self.check_active()?;
-        let timer = self.op_timer();
+        let timer = self.op_timer(telemetry::Op::Open, None);
         let now = self.tick();
         if plan.engine != self.engine_id {
             return Err(ServiceError::UnknownPlan(plan));
@@ -1097,7 +1108,7 @@ impl SearchEngine {
     /// session is untouched. Works in degraded mode: question derivation is
     /// deterministic, so it never needs the log.
     pub fn next_question(&self, id: SessionId) -> Result<SessionStep, ServiceError> {
-        let timer = self.op_timer();
+        let timer = self.op_timer(telemetry::Op::Next, Some(id));
         let (shard_k, step, kind) = self.step_session(
             id,
             |s| {
@@ -1113,20 +1124,13 @@ impl SearchEngine {
             },
             |_, _| None,
         )?;
-        let shard = &self.shards[shard_k];
-        shard.counters.steps.fetch_add(1, Ordering::Relaxed);
         let tier = match &step {
             Ok((_, true)) => telemetry::Tier::Compiled,
             _ => telemetry::Tier::Live,
         };
         self.record_op(shard_k, telemetry::Op::Next, tier, kind, timer);
         match step {
-            Ok((step, compiled)) => {
-                if compiled {
-                    shard.counters.compiled_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(step)
-            }
+            Ok((step, _)) => Ok(step),
             Err(e @ CoreError::Diverged { .. }) => {
                 // The search ran out of budget: reclaim the slot. The policy
                 // itself is healthy (divergence is a budget condition), so it
@@ -1151,7 +1155,7 @@ impl SearchEngine {
     /// acknowledged answer history.
     pub fn answer(&self, id: SessionId, yes: bool) -> Result<(), ServiceError> {
         self.check_active()?;
-        let timer = self.op_timer();
+        let timer = self.op_timer(telemetry::Op::Answer, Some(id));
         let max_queries = self.config.max_queries;
         let (shard_k, fed, kind) = self.step_session(
             id,
@@ -1206,25 +1210,11 @@ impl SearchEngine {
                 })
             },
         )?;
-        let shard = &self.shards[shard_k];
-        shard.counters.steps.fetch_add(1, Ordering::Relaxed);
         let tier = match &fed {
             Ok((_, tier)) => tier.telemetry(),
             Err(_) => telemetry::Tier::Live,
         };
         self.record_op(shard_k, telemetry::Op::Answer, tier, kind, timer);
-        match &fed {
-            Ok((_, StepTier::Compiled)) => {
-                shard.counters.compiled_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok((_, StepTier::Fallback)) => {
-                shard
-                    .counters
-                    .compiled_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
         fed.map_err(ServiceError::from)?;
         self.maybe_autocompact(shard_k);
         Ok(())
@@ -1237,7 +1227,7 @@ impl SearchEngine {
     /// logged ([`ServiceError::Durability`]).
     pub fn finish(&self, id: SessionId) -> Result<SearchOutcome, ServiceError> {
         self.check_active()?;
-        let timer = self.op_timer();
+        let timer = self.op_timer(telemetry::Op::Finish, Some(id));
         // Probe resolution and take the session under ONE slot-lock
         // acquisition: a probe-then-remove pair would let a concurrent
         // cancel/evict slip between the two and discard the outcome.
@@ -1304,7 +1294,7 @@ impl SearchEngine {
     /// Discards a session regardless of progress, reclaiming its slot.
     pub fn cancel(&self, id: SessionId) -> Result<(), ServiceError> {
         self.check_active()?;
-        let timer = self.op_timer();
+        let timer = self.op_timer(telemetry::Op::Cancel, Some(id));
         let (shard_k, kind, tier) = self.remove(id, Removal::Cancelled)?;
         self.record_op(shard_k, telemetry::Op::Cancel, tier, kind, timer);
         Ok(())
@@ -1358,21 +1348,18 @@ impl SearchEngine {
             degraded_since: entered.as_ref().map(|(at, _)| *at),
             degraded_reason: entered.map(|(_, reason)| reason),
         };
-        for shard in &self.shards {
-            let c = &shard.counters;
-            stats.opened += c.opened.load(Ordering::Relaxed);
-            stats.finished += c.finished.load(Ordering::Relaxed);
-            stats.cancelled += c.cancelled.load(Ordering::Relaxed);
-            stats.evicted += c.evicted.load(Ordering::Relaxed);
-            stats.errored += c.errored.load(Ordering::Relaxed);
-            stats.panicked += c.panicked.load(Ordering::Relaxed);
-            stats.steps += c.steps.load(Ordering::Relaxed);
-            stats.pool_hits += c.pool_hits.load(Ordering::Relaxed);
-            stats.compiled_hits += c.compiled_hits.load(Ordering::Relaxed);
-            stats.compiled_fallbacks += c.compiled_fallbacks.load(Ordering::Relaxed);
-            if let Some(wal) = &shard.wal {
-                stats.wal_records += wal.total_records.load(Ordering::Relaxed);
-            }
+        for row in self.stats_per_shard() {
+            stats.opened += row.opened;
+            stats.finished += row.finished;
+            stats.cancelled += row.cancelled;
+            stats.evicted += row.evicted;
+            stats.errored += row.errored;
+            stats.panicked += row.panicked;
+            stats.steps += row.steps;
+            stats.pool_hits += row.pool_hits;
+            stats.compiled_hits += row.compiled_hits;
+            stats.compiled_fallbacks += row.compiled_fallbacks;
+            stats.wal_records += row.wal_records;
         }
         stats
     }
@@ -1388,6 +1375,7 @@ impl SearchEngine {
             .enumerate()
             .map(|(k, shard)| {
                 let c = &shard.counters;
+                let (steps, compiled_hits, fallback_answers) = shard.telemetry.step_counts();
                 ShardStats {
                     shard: k as u32,
                     live: shard.live.load(Ordering::Relaxed),
@@ -1397,10 +1385,11 @@ impl SearchEngine {
                     evicted: c.evicted.load(Ordering::Relaxed),
                     errored: c.errored.load(Ordering::Relaxed),
                     panicked: c.panicked.load(Ordering::Relaxed),
-                    steps: c.steps.load(Ordering::Relaxed),
+                    steps,
                     pool_hits: c.pool_hits.load(Ordering::Relaxed),
-                    compiled_hits: c.compiled_hits.load(Ordering::Relaxed),
-                    compiled_fallbacks: c.compiled_fallbacks.load(Ordering::Relaxed),
+                    compiled_hits,
+                    compiled_fallbacks: c.compiled_fallbacks.load(Ordering::Relaxed)
+                        + fallback_answers,
                     wal_records: shard
                         .wal
                         .as_ref()
@@ -1432,10 +1421,12 @@ impl SearchEngine {
         snap
     }
 
-    /// Drains every shard's slow-op journal: operations whose wall time
-    /// crossed the `AIGS_SLOW_OP_NS` threshold (default 1 ms), oldest
-    /// first per shard. Each ring holds the 64 most recent entries;
-    /// [`TelemetrySnapshot::slow_dropped`] counts overwrites.
+    /// Drains every shard's slow-op journal: timed operations whose wall
+    /// time crossed the `AIGS_SLOW_OP_NS` threshold (default 1 ms),
+    /// oldest first per shard. Only timed operations have a duration
+    /// (one in [`telemetry::SAMPLE_EVERY`] per thread and kind), so this
+    /// is a sample of the slow ones. Each ring holds the 64 most recent
+    /// entries; [`TelemetrySnapshot::slow_dropped`] counts overwrites.
     pub fn drain_slow_ops(&self) -> Vec<SlowOp> {
         let mut out = Vec::new();
         for shard in &self.shards {
@@ -1502,6 +1493,12 @@ impl SearchEngine {
                 }
             }
         }
+        let _ = writeln!(
+            out,
+            "# HELP aigs_op_duration_ns Operation latency. Counts are exact; buckets and sum \
+             come from 1 in {} timed ops (evict drains and recoveries: all).",
+            telemetry::SAMPLE_EVERY
+        );
         let _ = writeln!(out, "# TYPE aigs_op_duration_ns histogram");
         for (o, op) in telemetry::OPS.iter().enumerate() {
             for (t, tier) in telemetry::TIERS.iter().enumerate() {
@@ -1638,16 +1635,29 @@ impl SearchEngine {
         self.degraded.is()
     }
 
-    /// Starts an operation timer — `None` (and therefore zero overhead
-    /// downstream) when telemetry is disabled.
+    /// Starts the timer of an `op` that is to be timed: the calling
+    /// thread's every [`telemetry::SAMPLE_EVERY`]-th of its kind, or one
+    /// whose kind has not been timed on its shard yet (`id` names the
+    /// shard; an open, whose shard is picked later, is timed until every
+    /// shard has timed one). `None` — no clock read — otherwise, and
+    /// whenever telemetry is disabled.
     #[inline]
-    fn op_timer(&self) -> Option<std::time::Instant> {
-        self.telemetry_enabled.then(std::time::Instant::now)
+    fn op_timer(&self, op: telemetry::Op, id: Option<SessionId>) -> Option<Instant> {
+        if !self.telemetry_enabled {
+            return None;
+        }
+        let timed = telemetry::sample_tick(op)
+            || (self.telemetry_warm.load(Ordering::Acquire) & telemetry::op_bit(op) == 0
+                && id.is_none_or(|id| {
+                    let shard_k = id.index % self.shards.len() as u32;
+                    !self.shards[shard_k as usize].telemetry.timed_once(op)
+                }));
+        timed.then(Instant::now)
     }
 
-    /// Records one completed operation on `shard_k`'s telemetry cell and
-    /// journals it if it crossed the slow-op threshold. No-op when
-    /// `timer` is `None` (telemetry disabled).
+    /// Counts one completed operation on `shard_k`'s telemetry cell; a
+    /// timed one (`timer` set) also records its duration and is
+    /// journaled if it crossed the slow-op threshold.
     #[inline]
     fn record_op(
         &self,
@@ -1655,12 +1665,21 @@ impl SearchEngine {
         op: telemetry::Op,
         tier: telemetry::Tier,
         kind: PolicyKind,
-        timer: Option<std::time::Instant>,
+        timer: Option<Instant>,
     ) {
-        let Some(t) = timer else { return };
-        let ns = t.elapsed().as_nanos() as u64;
         let cell = &self.shards[shard_k].telemetry;
-        cell.record_op(op, tier, kind, ns);
+        let Some(t) = timer else {
+            cell.count(op, tier, kind);
+            return;
+        };
+        let ns = t.elapsed().as_nanos() as u64;
+        cell.record_timed(op, tier, kind, ns);
+        let bit = telemetry::op_bit(op);
+        if self.telemetry_warm.load(Ordering::Relaxed) & bit == 0
+            && self.shards.iter().all(|s| s.telemetry.timed_once(op))
+        {
+            self.telemetry_warm.fetch_or(bit, Ordering::Release);
+        }
         cell.note_slow(
             self.slow_threshold_ns,
             SlowOp {
@@ -1868,7 +1887,8 @@ impl SearchEngine {
         if self.is_degraded() {
             return (0, None);
         }
-        let timer = self.op_timer();
+        // Drains are rare and always timed.
+        let timer = self.telemetry_enabled.then(Instant::now);
         let now = self.clock.load(Ordering::Relaxed);
         let mut evicted = 0;
         let oldest = loop {
@@ -1919,7 +1939,9 @@ impl SearchEngine {
                 // Per-kind eviction counts reconcile exactly with the
                 // `evicted` counter; the drain's single latency
                 // observation is recorded below.
-                shard.telemetry.count_op(telemetry::Op::Evict, s.kind);
+                shard
+                    .telemetry
+                    .count(telemetry::Op::Evict, telemetry::Tier::Live, s.kind);
                 s.release_policy();
                 self.release_slot(shard, local);
                 shard.counters.evicted.fetch_add(1, Ordering::Relaxed);

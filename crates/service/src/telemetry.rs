@@ -5,12 +5,38 @@
 //! ## Design
 //!
 //! Every shard owns one `ShardTelemetry` cell, `#[repr(align(64))]` so
-//! cells never share a cache line with a neighbour's hot counters. All
-//! recording is allocation-free and lock-free on the hot path: a
-//! histogram record is **two relaxed `fetch_add`s** (one bucket, one
-//! sum accumulator) — about the cost of bumping two plain counters — so
-//! the hooks stay on by default. Only the slow-op journal takes a mutex,
-//! and only for operations that already blew past the slowness threshold.
+//! cells never share a cache line with a neighbour's hot counters.
+//!
+//! **Counts are exact; durations are sampled.** Every engine operation
+//! bumps one relaxed counter in its shard's (op × tier × kind) count
+//! grid. That grid is the single source of the per-kind op totals, the
+//! per-tier histogram counts, and [`crate::EngineStats::steps`],
+//! `compiled_hits` and the answer-time share of `compiled_fallbacks`, so
+//! they all agree exactly. The grid counts even with telemetry disabled
+//! (the engine's stats read it); a disabled engine's snapshots still
+//! report zeros.
+//!
+//! Reading the clock is what costs: an `Instant::now()` + `elapsed()`
+//! pair is ~90 ns on a 2-vCPU VM, an order of magnitude more than a
+//! compiled step. So each thread times only one in [`SAMPLE_EVERY`] of
+//! the operations of each kind it runs, plus every operation of a kind
+//! until that kind has been timed once on the shard (for `open`, whose
+//! shard is picked mid-operation: on every shard). A timed operation
+//! stands in for the untimed ones of its (op, tier) cell that follow it
+//! (sample and hold): a histogram's count is the grid's exact count,
+//! while its bucket mix, `_sum` and quantiles come from the timed
+//! operations. Until a cell has a timed operation of its own, its
+//! untimed operations take the duration of the first timed operation of
+//! their kind on the shard. Evict drains and `recover_with` are always
+//! timed. The timed side of a cell sits behind one mutex that only timed
+//! operations and snapshots take; an untimed operation is the one
+//! relaxed add.
+//!
+//! Holding is applied when the next timed operation of the cell is
+//! recorded, and provisionally by snapshots in between, always to the
+//! same bucket — so every bucket only grows, and
+//! [`TelemetrySnapshot::minus`] of two snapshots is again a snapshot whose
+//! histogram counts equal its op totals.
 //!
 //! Latency histograms are **log₂-bucketed**: bucket 0 holds the value 0,
 //! bucket `b` (1 ≤ b < 63) holds values in `[2^(b-1), 2^b)`, and bucket 63
@@ -43,14 +69,24 @@
 //!   policy's *predicted* expected cost
 //!   ([`crate::SearchEngine::predict_expected_cost`]) so drift between
 //!   the paper's objective and production reality is a first-class metric.
-//! * A bounded per-shard ring of [`SlowOp`] records for operations slower
-//!   than the `AIGS_SLOW_OP_NS` threshold (default 1 ms), drained with
-//!   [`crate::SearchEngine::drain_slow_ops`].
+//! * A bounded per-shard ring of [`SlowOp`] records for **timed**
+//!   operations slower than the `AIGS_SLOW_OP_NS` threshold (default
+//!   1 ms), drained with [`crate::SearchEngine::drain_slow_ops`]. Untimed
+//!   operations have no duration, so the journal sees about one in
+//!   [`SAMPLE_EVERY`] of the slow ones.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use aigs_testutil::failpoints::{self, FaultAction};
 
 use crate::PolicyKind;
+
+/// Each thread times one in this many of the operations of each kind it
+/// runs (see the module docs); the rest are counted, not timed.
+pub const SAMPLE_EVERY: u32 = 64;
 
 /// Number of log₂ buckets in a latency histogram ([`HistSnapshot::buckets`]).
 pub const HIST_BUCKETS: usize = 64;
@@ -136,6 +172,12 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
+    /// Adds `n` observations of `value`.
+    fn record_n(&mut self, value: u64, n: u64) {
+        self.buckets[bucket_index(value)] += n;
+        self.sum = self.sum.wrapping_add(value.wrapping_mul(n));
+    }
+
     /// Total observations across all buckets.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -234,6 +276,14 @@ impl Op {
             Op::Evict => 5,
             Op::Recover => 6,
         }
+    }
+
+    /// Whether this op's durations are sampled against its exact counts.
+    /// Evict drains and recoveries are always timed, and their histograms
+    /// count drains and recoveries, not the per-kind evictions the count
+    /// grid holds.
+    fn is_sampled(self) -> bool {
+        !matches!(self, Op::Evict | Op::Recover)
     }
 
     /// Stable lowercase label (Prometheus `op` label value).
@@ -376,10 +426,13 @@ pub struct SlowOp {
 }
 
 /// Bounded ring of [`SlowOp`]s. The mutex is off the hot path: it is
-/// taken only for operations that already exceeded the threshold.
+/// taken only for timed operations that exceeded the threshold. Each
+/// critical section is one push (plus, when full, one pop) or one take,
+/// so the ring is consistent at every point a panic could leave it, and
+/// a poisoned guard is recovered, never propagated.
 #[derive(Debug)]
 struct SlowJournal {
-    ring: Mutex<Vec<SlowOp>>,
+    ring: Mutex<VecDeque<SlowOp>>,
     /// Records overwritten before being drained.
     dropped: AtomicU64,
 }
@@ -387,23 +440,75 @@ struct SlowJournal {
 impl SlowJournal {
     fn new() -> SlowJournal {
         SlowJournal {
-            ring: Mutex::new(Vec::with_capacity(SLOW_RING)),
+            ring: Mutex::new(VecDeque::with_capacity(SLOW_RING)),
             dropped: AtomicU64::new(0),
         }
     }
 
+    fn ring(&self) -> MutexGuard<'_, VecDeque<SlowOp>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn push(&self, entry: SlowOp) {
-        let mut ring = self.ring.lock().expect("slow journal poisoned");
+        let mut ring = self.ring();
+        if matches!(failpoints::hit("telemetry.slow"), Some(FaultAction::Panic)) {
+            panic!("injected slow-journal panic");
+        }
         if ring.len() >= SLOW_RING {
-            ring.remove(0);
+            ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push(entry);
+        ring.push_back(entry);
     }
 
     fn drain(&self) -> Vec<SlowOp> {
-        std::mem::take(&mut *self.ring.lock().expect("slow journal poisoned"))
+        std::mem::take(&mut *self.ring()).into()
     }
+}
+
+thread_local! {
+    /// Per op: how many of this thread's operations of that kind ran
+    /// since its last sampled one.
+    static SINCE_SAMPLED: [Cell<u32>; OPS.len()] = const { [const { Cell::new(0) }; OPS.len()] };
+}
+
+/// Counts one `op` on this thread and says whether it is the thread's
+/// every-[`SAMPLE_EVERY`]-th of that kind — an op to time. Per-kind
+/// counters keep a kind from never being sampled when a workload's
+/// operation mix repeats with a period that divides the rate.
+#[inline]
+pub(crate) fn sample_tick(op: Op) -> bool {
+    SINCE_SAMPLED.with(|ticks| {
+        let tick = &ticks[op.index()];
+        let n = tick.get() + 1;
+        let due = n == SAMPLE_EVERY;
+        tick.set(if due { 0 } else { n });
+        due
+    })
+}
+
+/// The bit of `op` in an op set.
+#[inline]
+pub(crate) fn op_bit(op: Op) -> u8 {
+    1 << op.index()
+}
+
+/// Exact op counts of one shard, indexed `[op][tier][kind slot]`.
+type CountGrid = [[[AtomicU64; KIND_SLOTS]; TIERS.len()]; OPS.len()];
+
+/// The timed side of one shard's (op, tier) cells.
+#[derive(Debug)]
+struct Samples {
+    /// Per cell: the durations of the ops accounted for so far — timed
+    /// ops at their own value, untimed ones at the value held when they
+    /// ran.
+    hist: [[HistSnapshot; TIERS.len()]; OPS.len()],
+    /// Per cell: how many of the cell's counted ops `hist` accounts for.
+    covered: [[u64; TIERS.len()]; OPS.len()],
+    /// Per cell: the duration that stands in for its untimed ops — the
+    /// cell's latest timed op, or before it has one, the first timed op
+    /// of its kind on this shard.
+    held: [[u64; TIERS.len()]; OPS.len()],
 }
 
 /// One shard's metric cell. `#[repr(align(64))]` keeps each shard's hot
@@ -412,13 +517,14 @@ impl SlowJournal {
 #[derive(Debug)]
 #[repr(align(64))]
 pub(crate) struct ShardTelemetry {
-    /// Whether this cell records at all (resolved once at engine
-    /// construction; a disabled cell's methods are no-ops).
+    /// Whether this cell records durations and shows in snapshots
+    /// (resolved once at engine construction). The count grid counts
+    /// either way.
     enabled: bool,
-    /// Latency histograms (nanoseconds) per operation × serving tier.
-    op_tier_ns: [[Histogram; TIERS.len()]; OPS.len()],
-    /// Operation counts per operation × policy kind.
-    op_kind: [[AtomicU64; KIND_SLOTS]; OPS.len()],
+    /// The ops timed at least once on this shard (one bit per op).
+    timed_once: AtomicU8,
+    counts: CountGrid,
+    samples: Mutex<Samples>,
     wal: WalTelemetry,
     slow: SlowJournal,
 }
@@ -427,8 +533,15 @@ impl ShardTelemetry {
     pub(crate) fn new(enabled: bool) -> ShardTelemetry {
         ShardTelemetry {
             enabled,
-            op_tier_ns: std::array::from_fn(|_| std::array::from_fn(|_| Histogram::new())),
-            op_kind: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
+            timed_once: AtomicU8::new(0),
+            counts: std::array::from_fn(|_| {
+                std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0)))
+            }),
+            samples: Mutex::new(Samples {
+                hist: std::array::from_fn(|_| std::array::from_fn(|_| HistSnapshot::default())),
+                covered: [[0; TIERS.len()]; OPS.len()],
+                held: [[0; TIERS.len()]; OPS.len()],
+            }),
             wal: WalTelemetry::new(),
             slow: SlowJournal::new(),
         }
@@ -441,31 +554,75 @@ impl ShardTelemetry {
         self.enabled
     }
 
-    /// Records one completed operation: latency into the (op, tier)
-    /// histogram, count into the (op, kind) counter — three relaxed adds.
+    /// Whether an `op` has been timed on this shard yet. `Acquire`
+    /// pairs with the `Release` that sets the bit, so an op that sees it
+    /// counts after the held durations of its kind exist.
     #[inline]
-    pub(crate) fn record_op(&self, op: Op, tier: Tier, kind: PolicyKind, ns: u64) {
-        if self.enabled {
-            self.op_tier_ns[op.index()][tier.index()].record(ns);
-            self.op_kind[op.index()][kind_slot(kind)].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn timed_once(&self, op: Op) -> bool {
+        self.timed_once.load(Ordering::Acquire) & op_bit(op) != 0
+    }
+
+    /// The timed side. Every critical section is straight-line
+    /// arithmetic on plain arrays, so a poisoned guard is recovered.
+    fn samples(&self) -> MutexGuard<'_, Samples> {
+        self.samples.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts one untimed operation: one relaxed add, on or off.
+    #[inline]
+    pub(crate) fn count(&self, op: Op, tier: Tier, kind: PolicyKind) {
+        self.counts[op.index()][tier.index()][kind_slot(kind)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts and records one timed operation that took `ns`: the cell's
+    /// untimed ops since its last timed one take the held duration, this
+    /// op its own, which becomes the held one.
+    pub(crate) fn record_timed(&self, op: Op, tier: Tier, kind: PolicyKind, ns: u64) {
+        let (o, t) = (op.index(), tier.index());
+        let mut guard = self.samples();
+        let s = &mut *guard;
+        // Counted under the lock, so no other timed op can account for
+        // this one before its own duration lands.
+        self.counts[o][t][kind_slot(kind)].fetch_add(1, Ordering::Relaxed);
+        let first = !self.timed_once(op);
+        if first {
+            s.held[o] = [ns; TIERS.len()];
+        }
+        let count = self.cell_count(op, tier);
+        let untimed = count.saturating_sub(s.covered[o][t] + 1);
+        s.hist[o][t].record_n(s.held[o][t], untimed);
+        s.hist[o][t].record_n(ns, 1);
+        s.covered[o][t] = count;
+        s.held[o][t] = ns;
+        if first {
+            self.timed_once.fetch_or(op_bit(op), Ordering::Release);
         }
     }
 
-    /// Bumps the (op, kind) counter without a latency observation (used
-    /// for per-session evictions inside one timed drain).
-    #[inline]
-    pub(crate) fn count_op(&self, op: Op, kind: PolicyKind) {
-        if self.enabled {
-            self.op_kind[op.index()][kind_slot(kind)].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a drain/recovery latency with no per-kind attribution.
-    #[inline]
+    /// Records one evict drain's or recovery's duration (always timed;
+    /// no per-kind attribution).
     pub(crate) fn record_duration(&self, op: Op, tier: Tier, ns: u64) {
         if self.enabled {
-            self.op_tier_ns[op.index()][tier.index()].record(ns);
+            self.samples().hist[op.index()][tier.index()].record_n(ns, 1);
         }
+    }
+
+    /// The count of one (op, tier) cell, over all kinds.
+    fn cell_count(&self, op: Op, tier: Tier) -> u64 {
+        self.counts[op.index()][tier.index()]
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// `(steps, compiled hits, fallback answers)`: the `next_question`
+    /// plus `answer` counts, all and compiled-tier, and the answers that
+    /// crossed a truncated tree's frontier (the only fallback-tier
+    /// steps).
+    pub(crate) fn step_counts(&self) -> (u64, u64, u64) {
+        let [live, compiled, fallback] =
+            TIERS.map(|t| self.cell_count(Op::Next, t) + self.cell_count(Op::Answer, t));
+        (live + compiled + fallback, compiled, fallback)
     }
 
     /// Journals `entry` if it crossed `threshold_ns`.
@@ -666,7 +823,9 @@ pub struct TelemetrySnapshot {
     /// Shard count the cells were aggregated over.
     pub shards: u32,
     /// Latency histograms (ns), indexed `[op][tier]` in [`OPS`] ×
-    /// [`TIERS`] order.
+    /// [`TIERS`] order. Counts are exact; for the sampled ops (all but
+    /// evict and recover) the bucket mix and `sum` come from the timed
+    /// one in [`SAMPLE_EVERY`].
     pub op_tier_ns: Vec<Vec<HistSnapshot>>,
     /// Operation counts, indexed `[op][kind slot]` ([`OPS`] order × the
     /// nine kind slots).
@@ -695,16 +854,33 @@ impl TelemetrySnapshot {
     }
 
     pub(crate) fn absorb_shard(&mut self, cell: &ShardTelemetry) {
-        for (o, row) in self.op_tier_ns.iter_mut().enumerate() {
-            for (t, h) in row.iter_mut().enumerate() {
-                h.merge(&cell.op_tier_ns[o][t].snapshot());
+        if !cell.enabled {
+            return;
+        }
+        // Lock first: every count read below is then at least what the
+        // samples account for.
+        let samples = cell.samples();
+        for (o, op) in OPS.iter().enumerate() {
+            for t in 0..TIERS.len() {
+                let mut count = 0;
+                for (k, c) in cell.counts[o][t].iter().enumerate() {
+                    let c = c.load(Ordering::Relaxed);
+                    self.op_kind[o][k] += c;
+                    count += c;
+                }
+                let mut h = samples.hist[o][t].clone();
+                if op.is_sampled() {
+                    // The untimed ops since the cell's last timed one, at
+                    // the duration the next timed one will give them.
+                    h.record_n(
+                        samples.held[o][t],
+                        count.saturating_sub(samples.covered[o][t]),
+                    );
+                }
+                self.op_tier_ns[o][t].merge(&h);
             }
         }
-        for (o, row) in self.op_kind.iter_mut().enumerate() {
-            for (k, c) in row.iter_mut().enumerate() {
-                *c += cell.op_kind[o][k].load(Ordering::Relaxed);
-            }
-        }
+        drop(samples);
         self.wal.merge(&WalMetrics {
             append_bytes: cell.wal.append_bytes.load(Ordering::Relaxed),
             fsync_batch: cell.wal.fsync_batch.snapshot(),

@@ -678,8 +678,8 @@ impl WireClient {
         Ok(shards)
     }
 
-    /// Drains the engine's per-shard slow-op journals: operations whose
-    /// wall time crossed the `AIGS_SLOW_OP_NS` threshold, oldest first
+    /// Drains the engine's per-shard slow-op journals: timed operations
+    /// whose wall time crossed the `AIGS_SLOW_OP_NS` threshold, oldest first
     /// per shard (the same records
     /// [`SearchEngine::drain_slow_ops`](crate::SearchEngine::drain_slow_ops)
     /// returns in-process). Draining is destructive — records read here

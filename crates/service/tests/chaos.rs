@@ -33,6 +33,7 @@ use std::sync::Mutex;
 
 use aigs_core::SessionStep;
 use aigs_graph::{Dag, NodeId};
+use aigs_service::telemetry::Op;
 use aigs_service::{
     DurabilityConfig, EngineConfig, FsyncPolicy, PlanId, PlanSpec, PolicyKind, SearchEngine,
     ServiceError, SessionId,
@@ -664,4 +665,58 @@ fn idle_heap_panic_does_not_brick_the_shard() {
     ));
     let stats = engine.stats();
     assert_eq!((stats.live, stats.evicted, stats.finished), (0, 1, 1));
+}
+
+/// A panic inside the slow-op journal's critical section (the
+/// `telemetry.slow` failpoint) poisons its lock. The ring is consistent
+/// by construction, so later ops keep journaling and
+/// `drain_slow_ops` keeps draining.
+#[test]
+fn slow_journal_panic_is_contained() {
+    let _g = lock();
+    failpoints::disarm_all();
+    let spec = plan_spec(0x510);
+    let dag = spec.dag.clone();
+    // A 1 ns threshold journals every timed op (each kind's first on the
+    // shard is always timed).
+    std::env::set_var("AIGS_SLOW_OP_NS", "1");
+    let engine = SearchEngine::new(EngineConfig {
+        shards: 1,
+        telemetry: Some(true),
+        ..EngineConfig::default()
+    });
+    std::env::remove_var("AIGS_SLOW_OP_NS");
+    let plan = engine.register_plan(spec).unwrap();
+    let id = engine
+        .open_session(plan, PolicyKind::GreedyDag)
+        .unwrap()
+        .id();
+
+    failpoints::arm("telemetry.slow", 1, FaultAction::Panic);
+    let asked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.next_question(id)));
+    failpoints::disarm_all();
+    assert!(asked.is_err(), "the armed journal push must panic");
+
+    // The session, the engine and the poisoned journal all keep working.
+    let (_, out) = drive_to_end(&engine, id, &dag, NodeId::new(4));
+    assert_eq!(out.target, NodeId::new(4));
+    let slow = engine.drain_slow_ops();
+    let ops: Vec<Op> = slow.iter().map(|s| s.op).collect();
+    assert!(ops.contains(&Op::Open), "pre-panic entry lost: {ops:?}");
+    assert!(
+        ops.contains(&Op::Finish),
+        "post-panic ops not journaled: {ops:?}"
+    );
+    let id = engine
+        .open_session(plan, PolicyKind::GreedyDag)
+        .unwrap()
+        .id();
+    engine.cancel(id).unwrap();
+    let slow = engine.drain_slow_ops();
+    assert!(
+        slow.iter().any(|s| s.op == Op::Cancel),
+        "journal stopped after a drain: {slow:?}"
+    );
+    let stats = engine.stats();
+    assert_eq!((stats.live, stats.finished, stats.cancelled), (0, 1, 1));
 }

@@ -9,12 +9,13 @@ mod common;
 
 use std::sync::Arc;
 
-use aigs_core::{evaluate_exhaustive, NodeWeights, SearchContext};
+use aigs_core::{evaluate_exhaustive, CompiledConfig, NodeWeights, SearchContext};
 use aigs_graph::NodeId;
 use aigs_service::telemetry::{
-    bucket_bound, bucket_index, HistSnapshot, Op, Tier, HIST_BUCKETS, OPS,
+    bucket_bound, bucket_index, HistSnapshot, Op, TelemetrySnapshot, Tier, HIST_BUCKETS, OPS,
+    SAMPLE_EVERY, TIERS,
 };
-use aigs_service::{EngineConfig, PlanSpec, PolicyKind, SearchEngine};
+use aigs_service::{CompiledTier, EngineConfig, PlanSpec, PolicyKind, SearchEngine};
 use aigs_testutil::{dag_from_seed, generic_weights};
 use common::{drive_to_end, env_reach_choice, scratch_dir};
 use proptest::prelude::*;
@@ -384,4 +385,233 @@ fn slow_op_journal_captures_and_bounds() {
     }
     // Draining is destructive; an idle engine has nothing new.
     assert!(engine.drain_slow_ops().is_empty());
+}
+
+/// Checks the sampled-duration invariants of one snapshot (or delta):
+/// every sampled op's histograms count exactly its op total, and the
+/// compiled-tier step histograms count exactly `compiled`.
+fn assert_counts_agree(snap: &TelemetrySnapshot, compiled: Option<u64>, what: &str) {
+    for op in [Op::Open, Op::Next, Op::Answer, Op::Finish, Op::Cancel] {
+        let hist: u64 = TIERS.iter().map(|&t| snap.op_tier(op, t).count()).sum();
+        assert_eq!(hist, snap.op_total(op), "{what}: {op:?} histogram vs total");
+        for t in TIERS {
+            let h = snap.op_tier(op, t);
+            assert_eq!(
+                h.count() > 0,
+                h.sum > 0,
+                "{what}: {op:?}/{t:?} has counts without durations or vice versa"
+            );
+        }
+    }
+    if let Some(compiled) = compiled {
+        assert_eq!(
+            snap.op_tier(Op::Next, Tier::Compiled).count()
+                + snap.op_tier(Op::Answer, Tier::Compiled).count(),
+            compiled,
+            "{what}: compiled-tier steps"
+        );
+    }
+}
+
+/// Four threads on two shards, over a compiled, a truncated (fallback)
+/// and a live plan: with most ops untimed, the histogram counts, the op
+/// totals and the engine's counters still agree exactly — at the end,
+/// in every snapshot taken mid-traffic, and in every delta between them.
+#[test]
+fn sampled_counts_stay_exact_under_concurrency() {
+    let n = 24;
+    let seed = 0xc0c0;
+    let dag = Arc::new(dag_from_seed(n, 0.3, seed));
+    let weights = Arc::new(generic_weights(n, seed));
+    let engine = SearchEngine::new(EngineConfig {
+        shards: 2,
+        compiled: CompiledTier::PerPlan,
+        telemetry: Some(true),
+        ..EngineConfig::default()
+    });
+    let spec = PlanSpec::new(Arc::clone(&dag), weights).with_reach(env_reach_choice());
+    let plans = [
+        engine
+            .register_plan(spec.clone().with_compiled(CompiledConfig::new()))
+            .unwrap(),
+        engine
+            .register_plan(
+                spec.clone()
+                    .with_compiled(CompiledConfig::new().with_max_depth(2)),
+            )
+            .unwrap(),
+        engine.register_plan(spec).unwrap(),
+    ];
+    let kinds = [PolicyKind::TopDown, PolicyKind::GreedyDag];
+    let done = std::sync::atomic::AtomicUsize::new(0);
+    let mut snaps = vec![engine.telemetry()];
+    std::thread::scope(|scope| {
+        for thread in 0..4usize {
+            let (engine, dag, done) = (&engine, &dag, &done);
+            scope.spawn(move || {
+                for i in 0..150usize {
+                    let plan = plans[(thread + i) % plans.len()];
+                    let kind = kinds[i % kinds.len()];
+                    let id = engine.open_session(plan, kind).unwrap().id();
+                    if i % 7 == 3 {
+                        engine.cancel(id).unwrap();
+                    } else {
+                        let target = NodeId::new((thread * 5 + i * 3) % dag.node_count());
+                        drive_to_end(engine, id, dag, target);
+                    }
+                }
+                done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            });
+        }
+        while done.load(std::sync::atomic::Ordering::Relaxed) < 4 {
+            snaps.push(engine.telemetry());
+            std::thread::yield_now();
+        }
+    });
+    let stats = engine.stats();
+    let last = engine.telemetry();
+    snaps.push(last.clone());
+
+    assert_counts_agree(&last, Some(stats.compiled_hits), "final");
+    assert_eq!(last.op_total(Op::Open), stats.opened);
+    assert_eq!(last.op_total(Op::Finish), stats.finished);
+    assert_eq!(last.op_total(Op::Cancel), stats.cancelled);
+    assert_eq!(
+        last.op_total(Op::Next) + last.op_total(Op::Answer),
+        stats.steps
+    );
+    assert!(stats.compiled_hits > 0, "no compiled traffic");
+    assert!(stats.compiled_fallbacks > 0, "no fallback traffic");
+    assert!(
+        last.op_tier(Op::Next, Tier::Live).count() > 0,
+        "no live traffic"
+    );
+    assert!(
+        stats.steps > 64 * 8,
+        "too few steps to exercise sampling: {}",
+        stats.steps
+    );
+    for (i, pair) in snaps.windows(2).enumerate() {
+        assert_counts_agree(&pair[1], None, &format!("snapshot {}", i + 1));
+        assert_counts_agree(&pair[1].minus(&pair[0]), None, &format!("delta {i}"));
+    }
+}
+
+/// An op that ran once is a cell of count one whose single observation
+/// sits in a real duration bucket — neither the zero bucket nor the
+/// overflow bucket.
+#[test]
+fn singleton_cells_hold_a_real_duration() {
+    let n = 16;
+    let seed = 0x5161;
+    let dag = Arc::new(dag_from_seed(n, 0.3, seed));
+    let weights = Arc::new(generic_weights(n, seed));
+    let engine = SearchEngine::new(EngineConfig {
+        shards: 1,
+        compiled: CompiledTier::PerPlan,
+        telemetry: Some(true),
+        ..EngineConfig::default()
+    });
+    let plan = engine
+        .register_plan(
+            PlanSpec::new(Arc::clone(&dag), weights)
+                .with_reach(env_reach_choice())
+                .with_compiled(CompiledConfig::new().with_max_depth(1)),
+        )
+        .unwrap();
+    // The first answer crosses the depth-1 frontier: the one fallback.
+    let target = dag
+        .nodes()
+        .find(|&z| {
+            let id = engine
+                .open_session(plan, PolicyKind::GreedyDag)
+                .unwrap()
+                .id();
+            let (transcript, _) = drive_to_end(&engine, id, &dag, z);
+            transcript.len() >= 2
+        })
+        .expect("some target needs two questions");
+    let before = engine.telemetry();
+    let fallbacks = engine.stats().compiled_fallbacks;
+    let id = engine
+        .open_session(plan, PolicyKind::GreedyDag)
+        .unwrap()
+        .id();
+    drive_to_end(&engine, id, &dag, target);
+    let cancelled = engine
+        .open_session(plan, PolicyKind::GreedyDag)
+        .unwrap()
+        .id();
+    engine.cancel(cancelled).unwrap();
+
+    assert_eq!(engine.stats().compiled_fallbacks, fallbacks + 1);
+    let snap = engine.telemetry();
+    let delta = snap.minus(&before);
+    for (what, h) in [
+        ("cancel", snap.op_tier(Op::Cancel, Tier::Compiled)),
+        ("fallback answer", delta.op_tier(Op::Answer, Tier::Fallback)),
+    ] {
+        assert_eq!(h.count(), 1, "{what}: {h:?}");
+        let b = h.buckets.iter().position(|&c| c > 0).unwrap();
+        assert!(
+            b != 0 && b != HIST_BUCKETS - 1,
+            "{what}: lone observation in bucket {b}"
+        );
+    }
+    assert_eq!(snap.op_total(Op::Cancel), 1);
+}
+
+/// Only one in `SAMPLE_EVERY` ops (plus each kind's first on each shard)
+/// reads the clock: with a 1 ns slow-op threshold every timed op is
+/// journaled, so the journal counts the timed ops.
+#[test]
+fn durations_are_sampled_one_in_n() {
+    let n = 16;
+    let seed = 0x5a3;
+    let dag = Arc::new(dag_from_seed(n, 0.3, seed));
+    let weights = Arc::new(generic_weights(n, seed));
+    let shards = 2;
+    let min_ops = 10_000u64;
+    let rate = u64::from(SAMPLE_EVERY);
+    // The threshold is read from the environment at construction.
+    // `slow_op_journal_captures_and_bounds` sets the same value and then
+    // clears it, so this test never clears it (which could race that
+    // test's construction) and retries the rare run that constructed
+    // while it was cleared (its journal stays near empty).
+    let mut attempts = 0;
+    let (ops, journaled) = loop {
+        attempts += 1;
+        std::env::set_var("AIGS_SLOW_OP_NS", "1");
+        let engine = SearchEngine::new(EngineConfig {
+            shards,
+            telemetry: Some(true),
+            ..EngineConfig::default()
+        });
+        let plan = engine
+            .register_plan(PlanSpec::new(Arc::clone(&dag), Arc::clone(&weights)))
+            .unwrap();
+        let mut ops = 0;
+        for i in 0.. {
+            if ops >= min_ops {
+                break;
+            }
+            let id = engine.open_session(plan, PolicyKind::TopDown).unwrap().id();
+            let (transcript, _) = drive_to_end(&engine, id, &dag, NodeId::new(i % n));
+            // open, a next and an answer per question, the final next, finish
+            ops += 2 * transcript.len() as u64 + 3;
+        }
+        let snap = engine.telemetry();
+        assert_eq!(OPS.iter().map(|&op| snap.op_total(op)).sum::<u64>(), ops);
+        let journaled = engine.drain_slow_ops().len() as u64 + snap.slow_dropped;
+        if journaled + OPS.len() as u64 >= ops / rate || attempts == 8 {
+            break (ops, journaled);
+        }
+    };
+    assert!(ops >= min_ops);
+    assert!(journaled >= 1, "nothing was timed");
+    let bound = ops / rate + (shards * OPS.len()) as u64;
+    assert!(
+        journaled <= bound,
+        "{journaled} of {ops} ops timed; sampling allows at most {bound}"
+    );
 }
